@@ -30,8 +30,8 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
       encode(shuffled)
     }
     val out = new ByteBuf()
-    writeInt(out, parts.length)
-    parts.foreach(p => writeInt(out, p.length))
+    out.writeIntLE(parts.length)
+    parts.foreach(p => out.writeIntLE(p.length))
     parts.foreach(out.write)
     val bytes = out.toByteArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 3, bytes.length,
@@ -42,9 +42,9 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
     val rawLen   = extent.product.toInt * precision.bytes
     val elemSize = precision.bytes
     val ranges   = blockRanges(rawLen)
-    val nParts   = readInt(data, 0)
+    val nParts   = ByteBuf.readIntLE(data, 0)
     require(nParts == ranges.length, s"block count mismatch: $nParts vs ${ranges.length}")
-    val lengths = (0 until nParts).map(i => readInt(data, 4 + 4 * i))
+    val lengths = (0 until nParts).map(i => ByteBuf.readIntLE(data, 4 + 4 * i))
     val offsets = lengths.scanLeft(4 + 4 * nParts)(_ + _)
     val raw     = new Array[Byte](rawLen)
     Parallel.map(ranges.indices.toIndexedSeq, threads) { bi =>
@@ -110,7 +110,7 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
             x |= (src(srcOff + (8 * g + r) * elemSize + k) & 0xffL) << (8 * (7 - r))
             r += 1
           }
-          val y = transpose8x8(x)
+          val y = BitTranspose.transpose8x8(x)
           var b = 0
           while (b < 8) {
             dst(dstOff + (k * 8 + b) * w + g) = ((y >>> (8 * (7 - b))) & 0xff).toByte
@@ -123,7 +123,7 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
             y |= (src(srcOff + (k * 8 + b) * w + g) & 0xffL) << (8 * (7 - b))
             b += 1
           }
-          val x = transpose8x8(y)
+          val x = BitTranspose.transpose8x8(y)
           var r = 0
           while (r < 8) {
             dst(dstOff + (8 * g + r) * elemSize + k) = ((x >>> (8 * (7 - r))) & 0xff).toByte
@@ -138,24 +138,6 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
     System.arraycopy(src, srcOff + mm * elemSize, dst, dstOff + mm * elemSize,
                      len - mm * elemSize)
   }
-
-  /** Transpose the 8x8 bit matrix packed row-major in a 64-bit word. */
-  private def transpose8x8(in: Long): Long = {
-    var x = in
-    var t = (x ^ (x >>> 7)) & 0x00aa00aa00aa00aaL
-    x = x ^ t ^ (t << 7)
-    t = (x ^ (x >>> 14)) & 0x0000cccc0000ccccL
-    x = x ^ t ^ (t << 14)
-    t = (x ^ (x >>> 28)) & 0x00000000f0f0f0f0L
-    x = x ^ t ^ (t << 28)
-    x
-  }
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */

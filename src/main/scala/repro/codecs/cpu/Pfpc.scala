@@ -31,8 +31,8 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       compressChunk(words, from, until)
     }
     val out = new ByteBuf()
-    writeInt(out, chunks.length)
-    parts.foreach(p => writeInt(out, p.length))
+    out.writeIntLE(chunks.length)
+    parts.foreach(p => out.writeIntLE(p.length))
     parts.foreach(out.write)
     val bytes = out.toByteArray
     Compressed(bytes, WorkProfile(words.length.toLong * 8, bytes.length,
@@ -43,10 +43,11 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
     val n         = extent.product.toInt
     val rawBytes  = n * precision.bytes
     val nWords    = (rawBytes + 7) / 8
-    val chunks    = chunkRanges(nWords, threads)
-    val nChunks   = readInt(data, 0)
+    // the chunk layout comes from the stream, not from this decoder's threads
+    val nChunks   = ByteBuf.readIntLE(data, 0)
+    val chunks    = chunkRanges(nWords, nChunks)
     require(nChunks == chunks.length, s"chunk count mismatch: $nChunks vs ${chunks.length}")
-    val lengths   = (0 until nChunks).map(i => readInt(data, 4 + 4 * i))
+    val lengths   = (0 until nChunks).map(i => ByteBuf.readIntLE(data, 4 + 4 * i))
     val offsets   = lengths.scanLeft(4 + 4 * nChunks)(_ + _)
     val words     = new Array[Long](nWords)
     Parallel.map(chunks.indices.toIndexedSeq, threads) { ci =>
@@ -160,10 +161,4 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
 
   private def fromWords(words: Array[Long], precision: Precision, extent: Seq[Long]): FpBlock =
     Words.unpack(words, precision, extent)
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }

@@ -23,37 +23,39 @@ final class Mpc extends Codec {
   private val Chunk = 1024
 
   override def compress(block: FpBlock): Compressed = {
-    val w    = block.precision.bits
-    val m    = NdzipCore.mask(w)
-    val vals = block.bits
-    val out  = new ByteBuf(vals.length * w / 8 / 2 + 64)
+    val w      = block.precision.bits
+    val nBytes = w / 8
+    val m      = NdzipCore.mask(w)
+    val vals   = block.bits
+    val out    = new ByteBuf(vals.length * nBytes / 2 + 64)
+    val r1     = new Array[Long](Chunk)
+    val t      = new Array[Long](Chunk)
+    val bitmap = new Array[Long](Chunk / w)
     var base = 0
     while (base < vals.length) {
-      val len = math.min(Chunk, vals.length - base)
-      // 1. LNV6s
-      val r1 = new Array[Long](len)
+      val len     = math.min(Chunk, vals.length - base)
+      val nGroups = (len + w - 1) / w
+      val nWords  = w * nGroups
+      // 1. LNV6s, zero-padded to whole groups of w values
       var i = 0
       while (i < len) {
         r1(i) = if (i < 6) vals(base + i) else (vals(base + i) - vals(base + i - 6)) & m
         i += 1
       }
-      // 2. BIT transpose: (len values x w bits) -> (w planes x len bits), packed in w-bit words
-      val t = bitTransposeForward(r1, len, w)
-      // 3. LNV1s
-      val r3 = new Array[Long](t.length)
-      i = 0
-      while (i < t.length) {
-        r3(i) = if (i == 0) t(i) else (t(i) - t(i - 1)) & m
-        i += 1
-      }
+      java.util.Arrays.fill(r1, len, nWords, 0L)
+      // 2. BIT: w bit planes of nGroups words each, MSB plane first
+      toPlanes(r1, t, nGroups, w)
+      // 3. LNV1s, in place from the back
+      i = nWords - 1
+      while (i > 0) { t(i) = (t(i) - t(i - 1)) & m; i -= 1 }
       // 4. ZE
-      val bitmapWords = (r3.length + w - 1) / w
-      val bitmap      = new Array[Long](bitmapWords)
+      java.util.Arrays.fill(bitmap, 0, nGroups, 0L)
       i = 0
-      while (i < r3.length) { if (r3(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
-      bitmap.foreach(writeWord(out, _, w))
+      while (i < nWords) { if (t(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
       i = 0
-      while (i < r3.length) { if (r3(i) != 0) writeWord(out, r3(i), w); i += 1 }
+      while (i < nGroups) { out.writeWordLE(bitmap(i), nBytes); i += 1 }
+      i = 0
+      while (i < nWords) { if (t(i) != 0) out.writeWordLE(t(i), nBytes); i += 1 }
       base += len
     }
     val bytes = out.toByteArray
@@ -63,32 +65,33 @@ final class Mpc extends Codec {
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
-    val w     = precision.bits
-    val m     = NdzipCore.mask(w)
-    val bytes = precision.bytes
-    val n     = extent.product.toInt
-    val vals  = new Array[Long](n)
-    var pos   = 0
-    var base  = 0
+    val w      = precision.bits
+    val m      = NdzipCore.mask(w)
+    val bytes  = precision.bytes
+    val n      = extent.product.toInt
+    val vals   = new Array[Long](n)
+    val r1     = new Array[Long](Chunk)
+    val t      = new Array[Long](Chunk)
+    val bitmap = new Array[Long](Chunk / w)
+    var pos    = 0
+    var base   = 0
     while (base < n) {
-      val len    = math.min(Chunk, n - base)
-      // the transpose pads each bit plane to whole w-bit words
-      val nWords = w * ((len + w - 1) / w)
-      val bitmapWords = (nWords + w - 1) / w
-      val bitmap      = new Array[Long](bitmapWords)
+      val len     = math.min(Chunk, n - base)
+      val nGroups = (len + w - 1) / w
+      val nWords  = w * nGroups
+      // one bitmap word per group: nWords / w
       var i = 0
-      while (i < bitmapWords) { bitmap(i) = readWord(data, pos, w); pos += bytes; i += 1 }
-      val r3 = new Array[Long](nWords)
+      while (i < nGroups) { bitmap(i) = ByteBuf.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
       i = 0
       while (i < nWords) {
-        r3(i) = if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) { val v = readWord(data, pos, w); pos += bytes; v }
-                else 0L
+        t(i) = if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) {
+                 val v = ByteBuf.readWordLE(data, pos, bytes); pos += bytes; v
+               } else 0L
         i += 1
       }
-      val t = new Array[Long](nWords)
-      i = 0
-      while (i < nWords) { t(i) = if (i == 0) r3(i) else (r3(i) + t(i - 1)) & m; i += 1 }
-      val r1 = bitTransposeInverse(t, len, w)
+      i = 1
+      while (i < nWords) { t(i) = (t(i) + t(i - 1)) & m; i += 1 }
+      fromPlanes(t, r1, nGroups, w)
       i = 0
       while (i < len) {
         vals(base + i) = if (i < 6) r1(i) else (r1(i) + vals(base + i - 6)) & m
@@ -102,52 +105,32 @@ final class Mpc extends Codec {
                              divergent = false))
   }
 
-  /** Transpose an (len x w) bit matrix into w bit planes of len bits each,
-    * packed into w-bit words MSB-plane first. Output length == len words.
+  /** Bit planes of `nGroups * w` values: plane p (bit w-1-p of every value)
+    * fills `planes(p * nGroups until (p + 1) * nGroups)`, value i at bit
+    * i % w of word i / w. One w x w transpose per group of w values turns
+    * group g into its planes' g-th words, plane p at word w-1-p. `vals` is
+    * transposed in place.
     */
-  private def bitTransposeForward(in: Array[Long], len: Int, w: Int): Array[Long] = {
-    val wordsPerPlane = (len + w - 1) / w
-    val out = new Array[Long](w * wordsPerPlane)
-    var bit = 0
-    while (bit < w) {
-      val plane = w - 1 - bit // MSB plane first, per the paper
-      var i = 0
-      while (i < len) {
-        if (((in(i) >>> bit) & 1L) != 0)
-          out(plane * wordsPerPlane + i / w) |= 1L << (i % w)
-        i += 1
-      }
-      bit += 1
+  private def toPlanes(vals: Array[Long], planes: Array[Long], nGroups: Int, w: Int): Unit = {
+    var g = 0
+    while (g < nGroups) {
+      val off = g * w
+      BitTranspose.transpose(vals, off, w)
+      var p = 0
+      while (p < w) { planes(p * nGroups + g) = vals(off + w - 1 - p); p += 1 }
+      g += 1
     }
-    out // length w * wordsPerPlane (== len when w divides len; padded otherwise)
   }
 
-  private def bitTransposeInverse(t: Array[Long], len: Int, w: Int): Array[Long] = {
-    val wordsPerPlane = (len + w - 1) / w
-    val out = new Array[Long](len)
-    var bit = 0
-    while (bit < w) {
-      val plane = w - 1 - bit
-      var i = 0
-      while (i < len) {
-        if (((t(plane * wordsPerPlane + i / w) >>> (i % w)) & 1L) != 0)
-          out(i) |= 1L << bit
-        i += 1
-      }
-      bit += 1
+  /** Inverse of `toPlanes`: `planes` -> `vals(0 until nGroups * w)`. */
+  private def fromPlanes(planes: Array[Long], vals: Array[Long], nGroups: Int, w: Int): Unit = {
+    var g = 0
+    while (g < nGroups) {
+      val off = g * w
+      var p = 0
+      while (p < w) { vals(off + w - 1 - p) = planes(p * nGroups + g); p += 1 }
+      BitTranspose.transpose(vals, off, w)
+      g += 1
     }
-    out
-  }
-
-  private def writeWord(out: ByteBuf, v: Long, w: Int): Unit = {
-    var i = 0
-    while (i < w / 8) { out.write(((v >>> (8 * i)) & 0xff).toInt); i += 1 }
-  }
-
-  private def readWord(data: Array[Byte], off: Int, w: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < w / 8) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
-    v
   }
 }

@@ -19,13 +19,13 @@ final class NvLz4(chunkBytes: Int = 65536) extends Codec {
     val raw    = block.toBytes
     val nChunk = math.max(1, (raw.length + chunkBytes - 1) / chunkBytes)
     val out    = new ByteBuf()
-    writeInt(out, nChunk)
+    out.writeIntLE(nChunk)
     val parts = (0 until nChunk).map { i =>
       val from  = i * chunkBytes
       val until = math.min(raw.length, from + chunkBytes)
       Lz4Backend.compress(java.util.Arrays.copyOfRange(raw, from, until))
     }
-    parts.foreach(p => writeInt(out, p.length))
+    parts.foreach(p => out.writeIntLE(p.length))
     parts.foreach(out.write)
     val bytes = out.toByteArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
@@ -34,8 +34,8 @@ final class NvLz4(chunkBytes: Int = 65536) extends Codec {
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen = extent.product.toInt * precision.bytes
-    val nChunk = readInt(data, 0)
-    val lengths = (0 until nChunk).map(i => readInt(data, 4 + 4 * i))
+    val nChunk = ByteBuf.readIntLE(data, 0)
+    val lengths = (0 until nChunk).map(i => ByteBuf.readIntLE(data, 4 + 4 * i))
     val offsets = lengths.scanLeft(4 + 4 * nChunk)(_ + _)
     val raw     = new Array[Byte](rawLen)
     (0 until nChunk).foreach { i =>
@@ -51,12 +51,6 @@ final class NvLz4(chunkBytes: Int = 65536) extends Codec {
                  WorkProfile(data.length + rawLen, rawLen, rawLen.toLong * 20,
                              divergent = false))
   }
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 /** nvCOMP::bitcomp substitute. Per Table 1 bitcomp's trait is

@@ -26,13 +26,14 @@ final class ByteBuf(initialCapacity: Int = 1024) {
     len += n
   }
 
-  def writeIntLE(v: Int): Unit = {
-    ensure(4)
-    buf(len) = v.toByte
-    buf(len + 1) = (v >>> 8).toByte
-    buf(len + 2) = (v >>> 16).toByte
-    buf(len + 3) = (v >>> 24).toByte
-    len += 4
+  def writeIntLE(v: Int): Unit = writeWordLE(v, 4)
+
+  /** Append the low `nBytes` bytes of `v`, least significant first. */
+  def writeWordLE(v: Long, nBytes: Int): Unit = {
+    ensure(nBytes)
+    var i = 0
+    while (i < nBytes) { buf(len + i) = (v >>> (8 * i)).toByte; i += 1 }
+    len += nBytes
   }
 
   def size: Int = len
@@ -41,4 +42,18 @@ final class ByteBuf(initialCapacity: Int = 1024) {
 
   /** Drop-in for call sites written against ByteArrayOutputStream. */
   def toByteArray: Array[Byte] = toArray
+}
+
+object ByteBuf {
+  /** Read `nBytes` little-endian bytes at `off`, zero-extended: the inverse
+    * of `writeWordLE`.
+    */
+  def readWordLE(data: Array[Byte], off: Int, nBytes: Int): Long = {
+    var v = 0L
+    var i = 0
+    while (i < nBytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
+    v
+  }
+
+  def readIntLE(data: Array[Byte], off: Int): Int = readWordLE(data, off, 4).toInt
 }

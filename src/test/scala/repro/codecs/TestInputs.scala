@@ -11,6 +11,9 @@ object TestInputs {
   def smooth1dD(n: Int): FpBlock =
     FpBlock.fromDoubles(Array.tabulate(n)(i => math.sin(i * 0.01) * 100 + i * 0.001))
 
+  def smooth1dS(n: Int): FpBlock =
+    FpBlock.fromFloats(Array.tabulate(n)(i => (math.sin(i * 0.01) * 100 + i * 0.001).toFloat))
+
   def smooth2dD(rows: Int, cols: Int): FpBlock = {
     val vals = Array.tabulate(rows * cols) { i =>
       val r = i / cols; val c = i % cols

@@ -1,30 +1,37 @@
 package repro.codecs
 
 import repro.SparkSpec
-import repro.core.Precision
+import repro.core.{BitTranspose, Precision}
 import repro.codecs.cpu.NdzipCore
 
 /** Inverse-pair tests for the internal transforms the codecs are built on. */
 class TransformSpec extends SparkSpec {
 
+  /** ndzip's chunk transpose: `BitTranspose` over a copy of `w` words. */
+  private def bitTranspose(in: Array[Long], w: Int): Array[Long] = {
+    val a = in.clone()
+    BitTranspose.transpose(a, 0, w)
+    a
+  }
+
   test("ndzip bit transpose is self-inverse (64-bit)") {
     val rng = new scala.util.Random(1)
     val in  = Array.fill(64)(rng.nextLong())
-    val out = NdzipCore.bitTranspose(NdzipCore.bitTranspose(in, 64), 64)
+    val out = bitTranspose(bitTranspose(in, 64), 64)
     assert(out.sameElements(in))
   }
 
   test("ndzip bit transpose is self-inverse (32-bit)") {
     val rng = new scala.util.Random(2)
     val in  = Array.fill(32)(rng.nextLong() & 0xffffffffL)
-    val out = NdzipCore.bitTranspose(NdzipCore.bitTranspose(in, 32), 32)
+    val out = bitTranspose(bitTranspose(in, 32), 32)
     assert(out.sameElements(in))
   }
 
   test("ndzip bit transpose moves bit (i,j) to (j,i)") {
     val in = new Array[Long](64)
     in(5) = 1L << 17
-    val t = NdzipCore.bitTranspose(in, 64)
+    val t = bitTranspose(in, 64)
     assert(t(17) == (1L << 5))
     assert(t.count(_ != 0) == 1)
   }
@@ -120,6 +127,15 @@ class TransformSpec extends SparkSpec {
       val comp  = codec.compress(block)
       val dec   = codec.decompress(comp.bytes, block.precision, block.extent)
       assert(dec.block.bits.sameElements(block.bits), s"threads=$t")
+    }
+  }
+
+  test("pFPC streams decode bit-exactly whatever the decoder's thread count") {
+    val block = TestInputs.smooth1dD(10000)
+    val comp  = new repro.codecs.cpu.Pfpc(8).compress(block)
+    for (t <- Seq(4, 1)) {
+      val dec = new repro.codecs.cpu.Pfpc(t).decompress(comp.bytes, block.precision, block.extent)
+      assert(dec.block.bits.sameElements(block.bits), s"decoder threads=$t")
     }
   }
 

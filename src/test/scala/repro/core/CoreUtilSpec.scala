@@ -22,6 +22,30 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(b.toByteArray.toSeq == b.toArray.toSeq)
   }
 
+  for (n <- Seq(4, 8)) {
+    test(s"ByteBuf writeWordLE/readWordLE roundtrip $n-byte words") {
+      val vs  = Seq(0L, 1L, 0x0102030405060708L, -2L, Long.MinValue, 0x80000000L)
+      val b   = new ByteBuf(1)
+      b.write(0x7f)
+      vs.foreach(b.writeWordLE(_, n))
+      val a = b.toArray
+      assert(a.length == 1 + n * vs.length)
+      val mask = if (n == 8) -1L else 0xffffffffL
+      vs.zipWithIndex.foreach { case (v, i) =>
+        assert(ByteBuf.readWordLE(a, 1 + n * i, n) == (v & mask), s"v=$v")
+      }
+    }
+  }
+
+  test("ByteBuf writeWordLE is little-endian and keeps a negative value's low bytes") {
+    val b = new ByteBuf()
+    b.writeWordLE(0x0102030405060708L, 8)
+    b.writeWordLE(-2L, 4)
+    assert(b.toArray.toSeq == Seq[Byte](8, 7, 6, 5, 4, 3, 2, 1, -2, -1, -1, -1))
+    assert(ByteBuf.readWordLE(b.toArray, 8, 4) == 0xfffffffeL)
+    assert(ByteBuf.readIntLE(b.toArray, 8) == -2)
+  }
+
   test("Words.pack is identity for doubles") {
     val blk = FpBlock.fromDoubles(Array(1.0, 2.0, 3.0))
     assert(Words.pack(blk) eq blk.bits)
