@@ -43,16 +43,10 @@ object CompressedColumnStore {
                       codec: Codec, precision: Precision): QueryTiming = {
     import spark.implicits._
 
-    // best-of-N timing throughout: this VM shows multi-second CPU-steal dips
-    // that would otherwise dominate the ~10-100 ms differences under test
     spark.read.parquet(path).as[ChunkRow].count() // warm the file cache
-    val (chunks, readNs0) = CompressionBench.timedNs {
+    val (chunks, readNs) = CompressionBench.bestOf(2) {
       spark.read.parquet(path).as[ChunkRow].collect().sortBy(_.blockId)
     }
-    val (_, readNs1) = CompressionBench.timedNs {
-      spark.read.parquet(path).as[ChunkRow].collect()
-    }
-    val readNs = math.min(readNs0, readNs1)
 
     def decodeAll(): (Array[Double], WorkProfile) = {
       var work = WorkProfile.zero
@@ -63,10 +57,7 @@ object CompressedColumnStore {
       }
       (parts.flatten, work)
     }
-    val ((values, decodeWork), decodeNs0) = CompressionBench.timedNs(decodeAll())
-    val decodeNs = (1 to 2).foldLeft(decodeNs0) { (best, _) =>
-      math.min(best, CompressionBench.timedNs(decodeAll())._2)
-    }
+    val ((values, decodeWork), decodeNs) = CompressionBench.bestOf(3)(decodeAll())
     val decodeSec =
       if (codec.platform == "GPU")
         GpuModel.kernelSeconds(decodeWork) +
@@ -76,7 +67,7 @@ object CompressedColumnStore {
     val df = spark.createDataset(values.toSeq).toDF("value").cache()
     df.count() // materialize outside the timed section
     val thresholds = histogramThresholds(values)
-    val (counts, queryNs) = CompressionBench.timedNs {
+    val (counts, queryNs) = CompressionBench.bestOf(1) {
       thresholds.map(v => df.filter(col("value") <= v).count())
     }
     df.unpersist()

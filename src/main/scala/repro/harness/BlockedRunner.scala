@@ -55,14 +55,8 @@ object BlockedRunner {
       if (codec.platform == "GPU")
         (GpuModel.kernelSeconds(compWork), GpuModel.kernelSeconds(decompWork))
       else {
-        var cNs = Long.MaxValue; var dNs = Long.MaxValue
-        var i = 0
-        while (i < iters) {
-          val (_, cn) = CompressionBench.timedNs(parts.foreach(codec.compress))
-          val (_, dn) = CompressionBench.timedNs(decompressAll())
-          cNs = math.min(cNs, cn); dNs = math.min(dNs, dn)
-          i += 1
-        }
+        val (_, cNs) = CompressionBench.bestOf(iters)(parts.foreach(codec.compress))
+        val (_, dNs) = CompressionBench.bestOf(iters)(decompressAll())
         (cNs / 1e9, dNs / 1e9)
       }
 

@@ -23,52 +23,41 @@ final case class MetricsRow(
   def dtGBps: Double = origBytes.toDouble / decompSec / 1e9
 }
 
-/** The core benchmark: run every (dataset, codec) cell of the FCBench grid as
-  * per-partition work inside Spark executors. Dataset blocks are materialized
-  * once on the driver (the corpus is MB-scale), broadcast, and each Spark
-  * task executes one cell; timed sections serialize on a JVM-wide lock so
-  * concurrent tasks do not distort each other's throughput measurements.
+/** The core benchmark: measure every (dataset, codec) cell of the FCBench
+  * grid in a driver loop. Spark generates the dataset blocks (the corpus is
+  * MB-scale); the cells then run one after another, so no timed section
+  * shares the CPU with another cell.
   */
 object CompressionBench {
 
-  /** JVM-global lock: only one timed section runs at a time (local mode puts
-    * all executor threads in one JVM).
+  /** The harness's one timing primitive: evaluate `f` `reps` times back to
+    * back and return the last result with the fastest wall time in ns.
+    * Best-of-N because shared hosts show multi-second CPU-steal dips that
+    * would otherwise dominate the differences under test.
     */
-  private object TimingLock
-
-  def timedNs[A](f: => A): (A, Long) = TimingLock.synchronized {
-    val t0 = System.nanoTime()
-    val a  = f
-    (a, System.nanoTime() - t0)
+  def bestOf[A](reps: Int)(f: => A): (A, Long) = {
+    require(reps >= 1, s"bestOf needs reps >= 1, got $reps")
+    def timed(): (A, Long) = {
+      val t0 = System.nanoTime()
+      val a  = f
+      (a, System.nanoTime() - t0)
+    }
+    (2 to reps).foldLeft(timed()) { case ((_, best), _) =>
+      val (a, ns) = timed()
+      (a, math.min(best, ns))
+    }
   }
 
   /** Measure one codec over one block. CPU methods: best-of-`iters` measured
     * wall time (JIT warmup discarded); GPU methods: cost-model time from the
     * work profile of a verified run.
-    *
-    * The whole cell serializes on [[TimingLock]]: concurrent Spark tasks
-    * running *untimed* work (warmup, verification) would otherwise steal CPU
-    * from another task's timed section. The monitor is reentrant, so the
-    * nested `timedNs` locks are free.
     */
   def measure(codec: Codec, block: FpBlock, dataset: String, domain: String,
-              iters: Int = 2): MetricsRow = TimingLock.synchronized {
+              iters: Int = 2): MetricsRow = {
     val comp0 = codec.compress(block) // warmup + profile source
-    var compNs = Long.MaxValue
-    var i = 0
-    while (i < iters) {
-      val (_, ns) = timedNs(codec.compress(block))
-      compNs = math.min(compNs, ns)
-      i += 1
-    }
+    val (_, compNs) = bestOf(iters)(codec.compress(block))
     val dec0 = codec.decompress(comp0.bytes, block.precision, block.extent)
-    var decompNs = Long.MaxValue
-    i = 0
-    while (i < iters) {
-      val (_, ns) = timedNs(codec.decompress(comp0.bytes, block.precision, block.extent))
-      decompNs = math.min(decompNs, ns)
-      i += 1
-    }
+    val (_, decompNs) = bestOf(iters)(codec.decompress(comp0.bytes, block.precision, block.extent))
     val lossless = dec0.block.bits.sameElements(block.bits)
 
     val (compSec, decompSec, e2eComp, e2eDecomp) =
@@ -88,30 +77,17 @@ object CompressionBench {
                compSec, decompSec, e2eComp, e2eDecomp, lossless)
   }
 
-  /** Run the full grid as a Spark job: one task per (dataset, codec) cell,
-    * executed in `mapPartitions` on the executors.
+  /** Run the full grid: generate each dataset's block with Spark, then
+    * measure every (dataset, codec) cell on the driver with the given codecs.
     */
   def runGrid(spark: SparkSession,
               specs: Seq[DatasetSpec] = FcDatasets.all,
               codecs: Seq[Codec] = CodecRegistry.all,
               targetValues: Int = 1 << 17,
               iters: Int = 2): Seq[MetricsRow] = {
-    import spark.implicits._
-    val blocks = specs.map(s => s.name -> (s.domain, s.block(spark, targetValues))).toMap
-    val bBlocks = spark.sparkContext.broadcast(blocks)
-    val cells = for (s <- specs; c <- codecs) yield (s.name, c.name)
-    val rows = cells.toDS()
-      .repartition(cells.size) // one cell per task
-      .mapPartitions { it =>
-        it.map { case (ds, codecName) =>
-          val (domain, block) = bBlocks.value(ds)
-          measure(CodecRegistry.byName(codecName), block, ds, domain, iters)
-        }
-      }
-      .collect()
-      .toSeq
-    bBlocks.destroy()
-    rows
+    val blocks = specs.map(s => s -> s.block(spark, targetValues))
+    for ((s, block) <- blocks; codec <- codecs)
+      yield measure(codec, block, s.name, s.domain, iters)
   }
 
   /** Aggregate helpers (paper §5.2): harmonic mean of CRs, arithmetic mean of

@@ -3,7 +3,7 @@ package repro.harness
 import repro.SparkSpec
 import repro.codecs.TestInputs
 import repro.core.CodecRegistry
-import repro.codecs.cpu.{Gorilla, NdzipCpu, Pfpc}
+import repro.codecs.cpu.{BitshuffleLz4, Gorilla, NdzipCpu, Pfpc}
 import repro.data.FcDatasets
 
 class HarnessSpec extends SparkSpec {
@@ -35,7 +35,7 @@ class HarnessSpec extends SparkSpec {
     assert(CompressionBench.harmonicMean(Nil).isNaN)
   }
 
-  test("runGrid executes cells on Spark and aggregates to a DataFrame") {
+  test("runGrid executes every cell and aggregates to a DataFrame") {
     val specs  = Seq(FcDatasets.byName("citytemp"), FcDatasets.byName("tpcH-order"))
     val codecs = Seq(CodecRegistry.byName("Gorilla"), CodecRegistry.byName("MPC"))
     val rows   = CompressionBench.runGrid(spark, specs, codecs, targetValues = 3000, iters = 1)
@@ -47,6 +47,38 @@ class HarnessSpec extends SparkSpec {
     val df = CompressionBench.toDF(spark, rows)
     assert(df.count() == 4)
     assert(df.columns.contains("compSec"))
+  }
+
+  test("runGrid measures the codec instances it is given") {
+    // msg-bt is double precision: 20000 values = 160 KB, over the registry
+    // codec's 64 KB bitshuffle blocks, so the two configurations differ
+    val spec  = FcDatasets.byName("msg-bt")
+    val codec = new BitshuffleLz4(1, 4096)
+    val block = spec.block(spark, 20000)
+    assert(block.sizeBytes > 64 * 1024)
+    val expected = codec.compress(block).bytes.length.toLong
+    assert(expected != CodecRegistry.byName("shf+LZ4").compress(block).bytes.length,
+           "the registry's shf+LZ4 must give a different size for this test to discriminate")
+    val rows = CompressionBench.runGrid(spark, Seq(spec), Seq(codec), targetValues = 20000, iters = 1)
+    assert(rows.map(_.compBytes) == Seq(expected))
+    assert(rows.forall(_.lossless))
+  }
+
+  test("bestOf rejects fewer than one repetition") {
+    assertThrows[IllegalArgumentException](CompressionBench.bestOf(0)(1))
+  }
+
+  test("bestOf evaluates its body reps times and returns the last value with the fastest time") {
+    val sleepsMs = Seq(100L, 1L, 100L)
+    var calls = 0
+    val (last, ns) = CompressionBench.bestOf(3) {
+      Thread.sleep(sleepsMs(calls))
+      calls += 1
+      calls
+    }
+    assert(calls == 3)
+    assert(last == 3)
+    assert(ns >= 1000000L && ns < 100000000L, s"best time $ns ns")
   }
 
   test("BlockedRunner.split yields 1-D sub-blocks covering the data") {
